@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench fuzz cover
+.PHONY: check fmt vet lint build test race bench perfbench fuzz cover
 
 ## check: the full CI gate — formatting, vet, invariant lint, build,
 ## tests, race detector.
@@ -60,6 +60,18 @@ bench:
 	BENCH6_JSON_OUT=$(CURDIR)/BENCH_6.json $(GO) test -run '^TestEmitServeBenchJSON$$' -v ./internal/serve/
 	BENCH7_JSON_OUT=$(CURDIR)/BENCH_7.json $(GO) test -run '^TestEmitObsBenchJSON$$' -v ./internal/serve/
 	@for f in $(CURDIR)/BENCH_*.json; do [ -f "$$f" ] && cat "$$f" || true; done
+
+## perfbench: the repository benchmark (perfbench/, declared in
+## BENCHMARK.json): each of its four workloads once, untraced, printing
+## every end-to-end metric. Set PERF_SEED and PERF_SECONDS to override.
+## Not run in CI: it takes over 4 × PERF_SECONDS and its numbers follow
+## the host.
+PERF_SEED ?= 1
+PERF_SECONDS ?= 20
+perfbench:
+	for w in campaign-decode-comp campaign-score-mem serve-faults fleet-decode-comp; do \
+		bash perfbench/run.sh --workload $$w --seed $(PERF_SEED) --seconds $(PERF_SECONDS) --trace 0 || exit 1; \
+	done
 
 ## fuzz: short smoke sessions of the fuzz targets (also run in CI).
 fuzz:

@@ -131,25 +131,33 @@ type Baseline struct {
 // EvalBaseline runs the suite fault-free on m with the given generation
 // settings (NumBeams etc.; MaxNewTokens is set per instance).
 func EvalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check AnswerChecker) *Baseline {
-	return evalBaseline(m, suite, gs, check, nil)
+	return evalBaseline(m, suite, gs, check, true, nil)
 }
 
 // EvalBaseline evaluates the campaign's fault-free baseline with its
 // effective decoding settings and answer checker — the same evaluation
-// every runner of the campaign performs. The fabric coordinator uses it
-// to complete the merged distributed Result: the baseline is
-// deterministic, so the coordinator's copy is bit-identical to the one
-// each worker computed locally.
+// every runner of the campaign performs, ready to pass to WithBaseline.
 func (c Campaign) EvalBaseline() *Baseline {
 	gs, check := c.effective()
-	return evalBaseline(c.Model, c.Suite, gs, check, nil)
+	return evalBaseline(c.Model, c.Suite, gs, check, true, nil)
 }
 
-// evalBaseline is EvalBaseline plus optional activation capture: when
-// capMinPos is non-nil, each instance's clean per-layer outputs from
-// position capMinPos(inst) onward are recorded (via a temporary hook on
-// m) into InstanceBaseline.capture for the propagation probes.
-func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check AnswerChecker, capMinPos func(inst *tasks.Instance) int) *Baseline {
+// ResultBaseline evaluates the baseline a finished campaign's Result
+// reports: every exported field equals EvalBaseline's, but it keeps no
+// post-prompt KV snapshots, which only running trials read. The fabric
+// coordinator completes its merged Result with it; the baseline is
+// deterministic, so the copy is bit-identical to each worker's.
+func (c Campaign) ResultBaseline() *Baseline {
+	gs, check := c.effective()
+	return evalBaseline(c.Model, c.Suite, gs, check, false, nil)
+}
+
+// evalBaseline is EvalBaseline with the snapshots optional (snap) plus
+// optional activation capture: when capMinPos is non-nil, each
+// instance's clean per-layer outputs from position capMinPos(inst)
+// onward are recorded (via a temporary hook on m) into
+// InstanceBaseline.capture for the propagation probes.
+func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check AnswerChecker, snap bool, capMinPos func(inst *tasks.Instance) int) *Baseline {
 	if check == nil {
 		check = DefaultChecker(suite)
 	}
@@ -162,7 +170,7 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 			cc = trace.NewCapture(capMinPos(inst))
 			m.AddHook(cc.Hook())
 		}
-		ib := evalInstance(m, suite, inst, gs, check, true, true, nil)
+		ib := evalInstance(m, suite, inst, gs, check, true, snap, nil)
 		if cc != nil {
 			m.PopHook()
 			cc.Seal()

@@ -129,3 +129,27 @@ func TestWithBaselineReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestResultBaselineDropsSnapshots checks the baseline a merged Result
+// reports: every field equals EvalBaseline's except the post-prompt KV
+// snapshots, which it must not hold.
+func TestResultBaselineDropsSnapshots(t *testing.T) {
+	c := partitionCampaign(t)
+	want := c.EvalBaseline()
+	got := c.ResultBaseline()
+	snapped := false
+	for i := range want.Instances {
+		ib := &want.Instances[i]
+		snapped = snapped || ib.prefix != nil
+		ib.prefix, ib.prefixLogits = nil, nil
+		if got.Instances[i].prefix != nil || got.Instances[i].prefixLogits != nil {
+			t.Fatalf("instance %d keeps a KV snapshot", i)
+		}
+	}
+	if !snapped {
+		t.Fatal("EvalBaseline took no snapshots; the campaign does not exercise the difference")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ResultBaseline differs from EvalBaseline:\ngot  %+v\nwant %+v", got, want)
+	}
+}

@@ -283,7 +283,7 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 				return len(inst.Prompt)
 			}
 		}
-		baseline = evalBaseline(c.Model, c.Suite, gs, check, capMinPos)
+		baseline = evalBaseline(c.Model, c.Suite, gs, check, true, capMinPos)
 		if c.ExtraHook != nil {
 			c.Model.ClearHooks()
 		}

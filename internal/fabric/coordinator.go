@@ -248,14 +248,15 @@ func (co *Coordinator) recordLeaseSpanLocked(l *leaseRec, now time.Time, outcome
 
 // Result blocks until every trial is merged (or ctx is cancelled),
 // evaluates the fault-free baseline, and returns the completed Result —
-// bit-identical to a single-process run of the same campaign.
+// bit-identical in every exported field to a single-process run of the
+// same campaign.
 func (co *Coordinator) Result(ctx context.Context) (*core.Result, error) {
 	select {
 	case <-co.finished:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	baseline := co.cfg.Campaign.EvalBaseline()
+	baseline := co.cfg.Campaign.ResultBaseline()
 	co.mu.Lock()
 	trials := append([]core.Trial(nil), co.trials...)
 	co.mu.Unlock()

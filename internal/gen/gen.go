@@ -268,12 +268,15 @@ func topTokens(lsm []float64, k int) []int {
 // prompt — the multiple-choice scoring rule of §3.3.2 (the model scores
 // each option and the highest wins).
 func ScoreOption(m *model.Model, prompt, option []int) float64 {
-	st := m.NewState()
+	return scoreOption(m, m.NewState(), prompt, option)
+}
+
+// scoreOption is ScoreOption on st, an empty state of m.
+func scoreOption(m *model.Model, st *model.State, prompt, option []int) float64 {
 	logits := st.Prefill(prompt)
 	var total float64
 	for _, tok := range option {
-		lsm := tensor.LogSoftmaxRow(logits)
-		total += lsm[tok]
+		total += tensor.LogSoftmaxAt(logits, tok)
 		if st.Pos >= m.Cfg.MaxSeq {
 			break
 		}
@@ -283,12 +286,16 @@ func ScoreOption(m *model.Model, prompt, option []int) float64 {
 }
 
 // ChooseOption scores every option and returns the index of the best one
-// together with all scores. Ties break toward the lower index.
+// together with all scores. Ties break toward the lower index. The
+// options share one state, reset between them: scoring reads only KV
+// rows it has written, so reuse leaves every score unchanged.
 func ChooseOption(m *model.Model, prompt []int, options [][]int) (int, []float64) {
 	scores := make([]float64, len(options))
 	best := 0
+	st := m.NewState()
 	for i, opt := range options {
-		scores[i] = ScoreOption(m, prompt, opt)
+		st.Reset()
+		scores[i] = scoreOption(m, st, prompt, opt)
 		if scores[i] > scores[best] {
 			best = i
 		}

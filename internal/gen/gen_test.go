@@ -155,11 +155,16 @@ func logSoftmax(row []float32) []float64 {
 func TestChooseOptionPicksBest(t *testing.T) {
 	m := testModel(11)
 	prompt := []int{1, 5}
-	options := [][]int{{6}, {7}, {8, 9}}
+	options := [][]int{{8, 9, 10, 11}, {6}, {7}, {8, 9}}
 	best, scores := ChooseOption(m, prompt, options)
 	for i, s := range scores {
 		if s > scores[best] {
 			t.Fatalf("option %d score %f beats chosen %d (%f)", i, s, best, scores[best])
+		}
+		// The options share one reset state; each score must still be
+		// the fresh-state score, bit for bit.
+		if want := ScoreOption(m, prompt, options[i]); s != want {
+			t.Fatalf("option %d scored %v on the shared state, %v fresh", i, s, want)
 		}
 	}
 }

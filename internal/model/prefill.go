@@ -67,23 +67,11 @@ func (st *State) Prefill(prompt []int) []float32 {
 		panic(fmt.Sprintf("model: context overflow (max %d)", cfg.MaxSeq))
 	}
 	base := st.Pos
-	d := cfg.DModel
 	threads := m.matmulThreads()
 
-	X := tensor.New(n, d)  // residual stream
-	H := tensor.New(n, d)  // normed input / attn-out projection
-	Q := tensor.New(n, d)  // query rows
-	Kb := tensor.New(n, d) // key rows (pre-cache)
-	Vb := tensor.New(n, d) // value rows (pre-cache)
-	A := tensor.New(n, d)  // concatenated attention head outputs
-	D := tensor.New(n, d)  // MLP / MoE block output
-	FF1 := tensor.New(n, cfg.FFHidden)
-	FF2 := tensor.New(n, cfg.FFHidden)
-	FFA := tensor.New(n, cfg.FFHidden)
-	var R *tensor.Tensor
-	if cfg.IsMoE() {
-		R = tensor.New(n, cfg.NumExperts)
-	}
+	pf := st.prefillScratch(n)
+	X, H, Q, Kb, Vb, A, D := &pf.X, &pf.H, &pf.Q, &pf.Kb, &pf.Vb, &pf.A, &pf.D
+	FF1, FF2, FFA, R := &pf.FF1, &pf.FF2, &pf.FFA, &pf.R
 
 	for i, tok := range prompt {
 		if tok < 0 || tok >= cfg.Vocab {
@@ -177,4 +165,46 @@ func (st *State) Prefill(prompt []int) []float32 {
 
 	st.Pos += n
 	return st.logits
+}
+
+// prefillActs holds Prefill's prompt-sized activations, n rows each.
+type prefillActs struct {
+	X   tensor.Tensor // residual stream
+	H   tensor.Tensor // normed input / attn-out projection
+	Q   tensor.Tensor // query rows
+	Kb  tensor.Tensor // key rows (pre-cache)
+	Vb  tensor.Tensor // value rows (pre-cache)
+	A   tensor.Tensor // concatenated attention head outputs
+	D   tensor.Tensor // MLP / MoE block output
+	FF1 tensor.Tensor
+	FF2 tensor.Tensor
+	FFA tensor.Tensor
+	R   tensor.Tensor // router logits (MoE only)
+}
+
+// prefillScratch returns Prefill's activations for an n-token prompt as
+// views over one buffer kept on the state, grown to the longest prompt
+// the state has prefilled. Reuse needs no clearing: Prefill writes every
+// row of each tensor before it reads it.
+func (st *State) prefillScratch(n int) *prefillActs {
+	cfg := &st.m.Cfg
+	d, ff := cfg.DModel, cfg.FFHidden
+	need := n * (7*d + 3*ff + cfg.NumExperts)
+	if cap(st.pfBuf) < need {
+		st.pfBuf = make([]float32, need)
+	}
+	buf := st.pfBuf[:need]
+	view := func(t *tensor.Tensor, cols int) {
+		*t = tensor.Tensor{Rows: n, Cols: cols, Data: buf[: n*cols : n*cols]}
+		buf = buf[n*cols:]
+	}
+	pf := &st.pf
+	for _, t := range []*tensor.Tensor{&pf.X, &pf.H, &pf.Q, &pf.Kb, &pf.Vb, &pf.A, &pf.D} {
+		view(t, d)
+	}
+	view(&pf.FF1, ff)
+	view(&pf.FF2, ff)
+	view(&pf.FFA, ff)
+	view(&pf.R, cfg.NumExperts)
+	return pf
 }

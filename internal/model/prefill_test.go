@@ -338,3 +338,31 @@ func TestForkForCrossModel(t *testing.T) {
 		snap.ForkFor(other)
 	}()
 }
+
+// TestPrefillReusedStateMatchesFresh checks that a reset state, whose
+// prefill scratch and KV rows hold a previous prompt's values, prefills
+// and decodes exactly as a fresh state, for a shorter prompt after a
+// longer one and the reverse (the scratch grows), dense and MoE.
+func TestPrefillReusedStateMatchesFresh(t *testing.T) {
+	for _, spec := range []Spec{testSpec(QwenS), moeTestSpec(QwenS)} {
+		m := MustBuild(spec)
+		reused := m.NewState()
+		for _, n := range []int{12, 5, 9, 16} {
+			prompt := promptOf(n, spec.Vocab)
+			fresh := m.NewState()
+			want := append([]float32(nil), fresh.Prefill(prompt)...)
+			want = append(want, fresh.DecodeStep(3)...)
+			reused.Reset()
+			got := append([]float32(nil), reused.Prefill(prompt)...)
+			got = append(got, reused.DecodeStep(3)...)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s prompt %d: logit %d = %v on a reused state, %v fresh", spec.Name, n, i, got[i], want[i])
+				}
+			}
+			if err := statesEqual(reused, fresh); err != nil {
+				t.Fatalf("%s prompt %d: %v", spec.Name, n, err)
+			}
+		}
+	}
+}

@@ -66,20 +66,18 @@ func MatMulRows(out, a, b *Tensor, rows, workers int) {
 	matmulRowsBlocked(out, a, b, 0, rows)
 }
 
-// matmulRowsBlocked computes rows [r0, r1) of out = a·b through the
-// register-tiled row kernel behind MatVec. Per-row dispatch is a
-// deliberate choice over cross-row register blocking: the weight
-// matrices of this study are L1-resident, so sharing loaded b elements
-// across rows buys nothing, while the extra per-row zero-skip branching
-// a shared-load kernel needs (each row must skip exactly the inputs
-// MatVec would skip, or bit-identity breaks) costs more than the loads
-// it saves — measured in BenchmarkMatMulRows vs BenchmarkMatVecLoop.
-// Rows remain the parallel-split axis for multi-worker calls.
+// matmulRowsBlocked computes rows [r0, r1) of out = a·b with one row
+// kernel call per row, so every row is bit-identical to MatVec by
+// construction. A cross-row kernel could share each loaded weight
+// vector between rows, but every row skips its own set of ±0 inputs, so
+// it would have to replace the skip branch with a per-row mask; that
+// variant has not been built or measured. Rows remain the parallel
+// split axis for multi-worker calls.
 func matmulRowsBlocked(out, a, b *Tensor, r0, r1 int) {
 	n := b.Cols
 	k := a.Cols
 	for i := r0; i < r1; i++ {
-		matVecTiled(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, n)
+		MatVecStrided(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, n)
 	}
 }
 
@@ -206,23 +204,45 @@ func parallelRows(rows, workers int, body func(r0, r1 int)) {
 }
 
 // MatVec computes out = x · w where x is a 1×k row vector and w is k×n.
-// It is the hot path of single-token decoding. The kernel tiles eight
-// output columns into register accumulators per pass over x, replacing
-// the saxpy form's per-element load/store of out with one store per
-// column; each out element's accumulation sequence (p ascending, zero
-// inputs skipped) is unchanged, so the rewrite is bit-identical to the
-// reference saxpy kernel — the contract every batched and blocked GEMM
-// in this package is pinned to.
+// It is the hot path of single-token decoding. Each out element's
+// accumulation sequence (p ascending, ±0 inputs skipped, float32
+// multiply then add from a +0 start) is that of the reference saxpy
+// kernel — the contract every batched and blocked GEMM in this package
+// is pinned to.
 func MatVec(out []float32, x []float32, w *Tensor) {
 	if len(x) != w.Rows || len(out) != w.Cols {
 		panic("tensor: MatVec shape mismatch")
 	}
-	matVecTiled(out, x, w.Data, w.Cols)
+	MatVecStrided(out, x, w.Data, w.Cols)
 }
 
-// matVecTiled is the shared row kernel: out = x · w for one activation
-// row, where wd is the k×n weight data laid out row-major.
-func matVecTiled(out, x, wd []float32, n int) {
+// MatVecStrided computes out[j] = Σ_p x[p]·wd[p·stride+j] for every
+// j < len(out): MatVec over the leading len(out) columns of a matrix
+// whose rows are stride elements apart. It is the row kernel behind
+// every GEMV and GEMM entry point, and attention's value mix is this
+// GEMV over one head's slice of the cached V rows. The SIMD kernel,
+// where the CPU has one, computes the columns up to the last multiple
+// of 8 and matVecGeneric the rest. It panics unless stride ≥ len(out)
+// and wd holds every element the sum reads: the assembly checks no
+// bounds itself.
+func MatVecStrided(out, x, wd []float32, stride int) {
+	n := len(out)
+	if stride < n || len(x) > 0 && len(wd) < (len(x)-1)*stride+n {
+		panic("tensor: GEMV operand shorter than its shape")
+	}
+	if n8 := n &^ 7; useAVX2 && n8 > 0 && len(x) > 0 {
+		matVecAVX2(out[:n8], x, wd, stride)
+		out, wd = out[n8:], wd[n8:]
+	}
+	matVecGeneric(out, x, wd, stride)
+}
+
+// matVecGeneric is the portable kernel and the reference the SIMD kernel
+// is tested against. It tiles eight output columns into register
+// accumulators per pass over x; each column still sees the scalar
+// sequence, so the tiling is bit-identical to the saxpy form.
+func matVecGeneric(out, x, wd []float32, stride int) {
+	n := len(out)
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		var s0, s1, s2, s3, s4, s5, s6, s7 float32
@@ -239,7 +259,7 @@ func matVecTiled(out, x, wd []float32, n int) {
 				s6 += xv * wr[6]
 				s7 += xv * wr[7]
 			}
-			off += n
+			off += stride
 		}
 		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
 		out[i+4], out[i+5], out[i+6], out[i+7] = s4, s5, s6, s7
@@ -251,7 +271,7 @@ func matVecTiled(out, x, wd []float32, n int) {
 			if xv != 0 {
 				s += xv * wd[off]
 			}
-			off += n
+			off += stride
 		}
 		out[i] = s
 	}

@@ -69,10 +69,27 @@ func SoftmaxRow(row []float32) {
 }
 
 // LogSoftmaxRow returns the log-softmax of row as float64s, used for
-// option scoring (summed token log-likelihoods) in multiple-choice tasks.
+// beam search and training, which read every entry.
 func LogSoftmaxRow(row []float32) []float64 {
 	out := make([]float64, len(row))
-	maxv := float64(math.Inf(-1))
+	logZ := logSumExp(row)
+	for i, v := range row {
+		out[i] = float64(v) - logZ
+	}
+	return out
+}
+
+// LogSoftmaxAt returns LogSoftmaxRow(row)[i], bit for bit, without
+// building the row: greedy decoding and option scoring read one entry
+// per step.
+func LogSoftmaxAt(row []float32, i int) float64 {
+	return float64(row[i]) - logSumExp(row)
+}
+
+// logSumExp is the normalizer of LogSoftmaxRow: the float64 max, then
+// the exp sum in index order.
+func logSumExp(row []float32) float64 {
+	maxv := math.Inf(-1)
 	for _, v := range row {
 		if float64(v) > maxv {
 			maxv = float64(v)
@@ -82,11 +99,7 @@ func LogSoftmaxRow(row []float32) []float64 {
 	for _, v := range row {
 		sum += math.Exp(float64(v) - maxv)
 	}
-	logZ := maxv + math.Log(sum)
-	for i, v := range row {
-		out[i] = float64(v) - logZ
-	}
-	return out
+	return maxv + math.Log(sum)
 }
 
 // RMSNormRow normalizes row in place by its root-mean-square and applies

@@ -209,6 +209,28 @@ func TestSoftmaxRowNaNPropagates(t *testing.T) {
 	}
 }
 
+// TestLogSoftmaxAtMatchesRow pins LogSoftmaxAt to LogSoftmaxRow bit for
+// bit, on ordinary rows and on rows a fault or a logit mask leaves with
+// -Inf, +Inf or NaN entries.
+func TestLogSoftmaxAtMatchesRow(t *testing.T) {
+	ninf, inf, nan := float32(math.Inf(-1)), float32(math.Inf(1)), float32(math.NaN())
+	rows := [][]float32{
+		{0.5, -1, 3, 0},
+		{ninf, 2, ninf, -7.25, 1e-3},
+		{1, inf, 2},
+		{1, nan, 2},
+		{ninf, ninf},
+	}
+	for _, row := range rows {
+		full := LogSoftmaxRow(row)
+		for i := range row {
+			if got := LogSoftmaxAt(row, i); math.Float64bits(got) != math.Float64bits(full[i]) {
+				t.Fatalf("row %v entry %d: LogSoftmaxAt %v, LogSoftmaxRow %v", row, i, got, full[i])
+			}
+		}
+	}
+}
+
 func TestLogSoftmaxConsistent(t *testing.T) {
 	row := []float32{0.5, -1, 3, 0}
 	lsm := LogSoftmaxRow(row)
