@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -173,5 +175,34 @@ func TestDashboardHandler(t *testing.T) {
 	post.Body.Close()
 	if post.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /debug/fleet: status %d, want 405", post.StatusCode)
+	}
+}
+
+// TestFanInGolden pins the fan-in exposition byte for byte: liveness
+// and scrape counters as integers, re-exported series (a 4096000 count
+// among them) through the shortest 'g' form, aggregates before
+// per-worker rows, labels in canonical order.
+func TestFanInGolden(t *testing.T) {
+	f := NewFanIn(nil)
+	f.workers["w1"] = &scrapeState{addr: "http://w1", up: true, scrapes: 2000000, errors: 1, samples: []Sample{
+		{Name: "llmfi_worker_self_trials_total", Value: 4096000},
+		{Name: "llmfi_lat", Labels: []Label{{Key: "q", Val: "p50"}, {Key: "le", Val: "0.5"}}, Value: 0.25},
+		{Name: "go_goroutines", Value: 9},
+	}}
+	f.workers["w2"] = &scrapeState{addr: "http://w2", scrapes: 3, errors: 3, samples: []Sample{
+		{Name: "llmfi_worker_self_trials_total", Value: 5},
+		{Name: "llmfi_lat", Labels: []Label{{Key: "q", Val: "p50"}, {Key: "le", Val: "0.5"}}, Value: 1.5},
+		{Name: "llmfi_lat", Labels: []Label{{Key: "q", Val: "p99"}}, Value: 2},
+	}}
+	var b strings.Builder
+	if err := f.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "fanin_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("fan-in exposition drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", b.String(), want)
 	}
 }

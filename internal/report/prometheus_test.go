@@ -31,6 +31,10 @@ func TestWriteBuildInfoText(t *testing.T) {
 }
 
 // promSnapshot is the fixed snapshot behind the golden exposition test.
+// HookFires and the first phase's count pass 1e6 on purpose: gauges
+// and counters render through the shortest 'g' form (4.096e+06) while
+// outcome, worker-trial and histogram counts render as integers, and
+// the golden pins both.
 func promSnapshot() core.TelemetrySnapshot {
 	return core.TelemetrySnapshot{
 		ElapsedSeconds:   2.5,
@@ -40,10 +44,10 @@ func promSnapshot() core.TelemetrySnapshot {
 		TrialsPerSec:     19.2,
 		Fired:            40,
 		FiredRate:        0.625,
-		Masked:           30,
+		Masked:           1048576,
 		Subtle:           24,
 		Distorted:        10,
-		HookFires:        4096,
+		HookFires:        4096000,
 		TracedTrials:     4,
 		DecodeBatchSteps: 32,
 		DecodeBatchRows:  224,
@@ -53,71 +57,34 @@ func promSnapshot() core.TelemetrySnapshot {
 		AbftDetected:     10,
 		AbftMissed:       2,
 		Workers: []core.WorkerSnapshot{
-			{Trials: 40, BusySeconds: 1.5, Utilization: 0.6},
+			{Trials: 2000000, BusySeconds: 1.5, Utilization: 0.6},
 			{Trials: 24, BusySeconds: 1, Utilization: 0.4},
 		},
-		PhaseBucketBounds: []float64{0.001, 0.01},
+		PhaseBucketBounds: []float64{1e-06, 3.2e-05, 0.001024},
 		Phases: []core.PhaseSnapshot{
-			{Phase: "prefill", Count: 6, SumSeconds: 0.012, Buckets: []int64{1, 3, 2}},
+			{Phase: "prefill", Count: 3000006, SumSeconds: 0.012, Buckets: []int64{1, 3, 2, 3000000}},
+			{Phase: "classify", Count: 2, SumSeconds: 4.5e-05, Buckets: []int64{0, 1, 1, 0}},
 		},
 	}
 }
 
-// TestWriteMetricsTextGolden pins the exposition format line by line:
-// Prometheus scrapers are whitespace- and structure-sensitive, so the
-// output must not drift.
+// TestWriteMetricsTextGolden pins the campaign exposition byte for byte
+// against testdata/metrics_golden.txt: Prometheus scrapers are
+// whitespace- and structure-sensitive, so the output must not drift.
 func TestWriteMetricsTextGolden(t *testing.T) {
 	var b strings.Builder
 	if err := WriteMetricsText(&b, promSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
-
-	want := []string{
-		"# HELP llmfi_trials_total Trials configured for the campaign.",
-		"# TYPE llmfi_trials_total gauge",
-		"llmfi_trials_total 120",
-		"llmfi_trials_done 64",
-		"llmfi_trials_resumed 16",
-		"llmfi_trials_fired 40",
-		"llmfi_fired_rate 0.625",
-		"llmfi_trials_per_second 19.2",
-		"llmfi_elapsed_seconds 2.5",
-		`llmfi_outcome_trials{class="masked"} 30`,
-		`llmfi_outcome_trials{class="sdc_subtle"} 24`,
-		`llmfi_outcome_trials{class="sdc_distorted"} 10`,
-		"# TYPE llmfi_hook_fires_total counter",
-		"llmfi_hook_fires_total 4096",
-		"llmfi_traced_trials_total 4",
-		"llmfi_decode_batch_steps_total 32",
-		"llmfi_decode_batch_rows_total 224",
-		"llmfi_decode_batch_occupancy 7",
-		"llmfi_abft_checks_total 500",
-		"llmfi_abft_flagged_total 12",
-		"llmfi_abft_detected_total 10",
-		"llmfi_abft_missed_total 2",
-		"llmfi_abft_false_positives_total 0",
-		"llmfi_abft_cascaded_total 0",
-		"llmfi_abft_corrected_total 0",
-		"llmfi_abft_skipped_total 0",
-		`llmfi_worker_trials{worker="0"} 40`,
-		`llmfi_worker_trials{worker="1"} 24`,
-		`llmfi_worker_busy_seconds{worker="0"} 1.5`,
-		`llmfi_worker_utilization{worker="1"} 0.4`,
-		"# TYPE llmfi_phase_latency_seconds histogram",
-		`llmfi_phase_latency_seconds_bucket{phase="prefill",le="0.001"} 1`,
-		`llmfi_phase_latency_seconds_bucket{phase="prefill",le="0.01"} 4`,
-		`llmfi_phase_latency_seconds_bucket{phase="prefill",le="+Inf"} 6`,
-		`llmfi_phase_latency_seconds_sum{phase="prefill"} 0.012`,
-		`llmfi_phase_latency_seconds_count{phase="prefill"} 6`,
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, line := range want {
-		if !strings.Contains(got, line+"\n") {
-			t.Errorf("exposition missing line %q", line)
-		}
+	if got != string(want) {
+		t.Fatalf("exposition drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	// Structural invariants: every series line is preceded by HELP/TYPE
-	// for its family, and no family appears twice.
+	// Structural invariants: no family is declared twice.
 	types := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimRight(got, "\n"), "\n") {
 		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
