@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench perfbench fuzz cover
+.PHONY: check fmt vet lint build test race perfbench-check bench perfbench fuzz cover
 
 ## check: the full CI gate — formatting, vet, invariant lint, build,
-## tests, race detector.
-check: fmt vet lint build test race
+## tests, race detector, and the benchmark module's vet and tests.
+check: fmt vet lint build test race perfbench-check
 
 fmt:
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
@@ -36,8 +36,14 @@ race:
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Serve|Handler|Loadgen)' ./internal/serve/...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(FanIn|Recorder|SpanWriter|FleetTrace|LeaseTrace)' \
+		-run '^Test(FanIn|Recorder|SpanWriter|JSONL|Histogram|MetricsWriter|FleetTrace|LeaseTrace)' \
 		./internal/fabric/ ./internal/obs/
+
+## perfbench-check: perfbench/ is its own Go module, so `go build ./...`
+## never compiles it; vet and test it so an API rename it reads cannot
+## silently break the BENCHMARK.json command.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## bench: the campaign throughput benchmarks (Figure reproductions live
 ## in bench_test.go at the repo root), plus the machine-readable runtime
@@ -78,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHalfRoundTrip$$' -fuzztime 10s ./internal/numerics/
 	$(GO) test -run '^$$' -fuzz '^FuzzFlipBits$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerateRequest$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/obs/
 
 ## cover: the detection-layer coverage gate enforced by CI — the ABFT and
 ## mitigation packages must stay above 85% combined.

@@ -20,7 +20,9 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -57,7 +59,7 @@ func run() int {
 			log.Print(err)
 			return 1
 		}
-		tw := report.NewTraceWriter(f)
+		tw := obs.NewJSONLWriter[trace.Record](f)
 		cfg.TraceEvery = *traceN
 		cfg.TraceSink = tw.Write
 		defer func() {

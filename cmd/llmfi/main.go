@@ -310,7 +310,7 @@ func main() {
 	// Trace export: a fresh campaign truncates the file, a resumed one
 	// appends — the interrupted run's records stay valid (resumed trials
 	// never re-execute, so appending cannot duplicate a trial).
-	var traceW *report.TraceWriter
+	var traceW *obs.JSONLWriter[trace.Record]
 	if *tracePath != "" {
 		f, appended, err := report.OpenTrace(*tracePath, *resume != "")
 		if err != nil {
@@ -319,7 +319,7 @@ func main() {
 		if appended {
 			fmt.Fprintf(os.Stderr, "llmfi: appending traces to existing %s (resume)\n", *tracePath)
 		}
-		traceW = report.NewTraceWriter(f)
+		traceW = obs.NewJSONLWriter[trace.Record](f)
 		ropts = append(ropts, core.WithTrace(*traceN, traceW.Write))
 	}
 
@@ -438,7 +438,7 @@ func main() {
 // runCoordinator serves the fleet API on addr and blocks until every
 // trial is merged, then prints the campaign result exactly like a
 // single-process run (the merge is bit-identical).
-func runCoordinator(ctx context.Context, c core.Campaign, addr, ckptPath string, ckptEvery, leaseTrials int, leaseTTL time.Duration, csvTrials, csvSum string, rec *obs.Recorder, sw *obs.SpanWriter, spansPath string, scrapeEvery time.Duration) {
+func runCoordinator(ctx context.Context, c core.Campaign, addr, ckptPath string, ckptEvery, leaseTrials int, leaseTTL time.Duration, csvTrials, csvSum string, rec *obs.Recorder, sw *obs.JSONLWriter[obs.Span], spansPath string, scrapeEvery time.Duration) {
 	co, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
 		Campaign:        c,
 		LeaseTTL:        leaseTTL,
@@ -630,17 +630,18 @@ func parseSurfaces(s string) ([]faults.Surface, error) {
 // /debug/fleet shows recent spans and fleet traces stitch; the offline
 // campaign mode returns a nil (disabled) recorder instead — the default
 // campaign path carries zero tracing overhead.
-func buildRecorder(path, service string, sample int, ring bool) (*obs.Recorder, *obs.SpanWriter) {
+func buildRecorder(path, service string, sample int, ring bool) (*obs.Recorder, *obs.JSONLWriter[obs.Span]) {
 	if path == "" && !ring {
 		return nil, nil
 	}
 	cfg := obs.Config{Service: service, Sample: sample, Recent: 128}
-	var sw *obs.SpanWriter
+	var sw *obs.JSONLWriter[obs.Span]
 	if path != "" {
-		var err error
-		if sw, err = obs.OpenSpans(path); err != nil {
-			log.Fatal(err)
+		f, err := os.Create(path)
+		if err != nil {
+			log.Fatalf("open spans: %v", err)
 		}
+		sw = obs.NewJSONLWriter[obs.Span](f)
 		cfg.Sink = sw.Write
 	}
 	return obs.NewRecorder(cfg), sw
@@ -648,7 +649,7 @@ func buildRecorder(path, service string, sample int, ring bool) (*obs.Recorder, 
 
 // closeSpans flushes the span export file and reports any latched sink
 // error. Safe on a nil writer (no -spans flag).
-func closeSpans(sw *obs.SpanWriter, path string, rec *obs.Recorder) {
+func closeSpans(sw *obs.JSONLWriter[obs.Span], path string, rec *obs.Recorder) {
 	if sw == nil {
 		return
 	}

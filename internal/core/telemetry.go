@@ -1,58 +1,24 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/outcome"
 	"repro/internal/trace"
 )
 
 // nPhaseBuckets is the finite bucket count of the per-phase latency
-// histograms; one overflow bucket (+Inf) follows.
-const nPhaseBuckets = 22
-
-// phaseBucketBounds are the inclusive upper bounds (seconds) of the
-// latency buckets: exponential, 1µs doubling up to ~2s — wide enough to
+// histograms (obs.Histogram): 1µs doubling up to ~2s — wide enough to
 // straddle everything from a prefix-fork (microseconds) to a full
 // long-prompt prefill.
-var phaseBucketBounds = func() []float64 {
-	b := make([]float64, nPhaseBuckets)
-	v := 1e-6
-	for i := range b {
-		b[i] = v
-		v *= 2
-	}
-	return b
-}()
+const nPhaseBuckets = 22
 
 func init() {
 	if n := len(new(Telemetry).phases); n != len(trace.Phases) {
 		panic("core: phase histogram count out of sync with trace.Phases")
-	}
-}
-
-// phaseHist is one phase's lock-free latency histogram.
-type phaseHist struct {
-	count    atomic.Int64
-	sumNanos atomic.Int64
-	buckets  [nPhaseBuckets + 1]atomic.Int64
-}
-
-func (h *phaseHist) observe(d time.Duration) {
-	h.count.Add(1)
-	h.sumNanos.Add(int64(d))
-	i := sort.SearchFloat64s(phaseBucketBounds, d.Seconds())
-	h.buckets[i].Add(1)
-}
-
-func (h *phaseHist) reset() {
-	h.count.Store(0)
-	h.sumNanos.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
 	}
 }
 
@@ -73,8 +39,8 @@ type Telemetry struct {
 	batchSteps atomic.Int64
 	batchRows  atomic.Int64
 	// phases holds the per-phase latency histograms, indexed by
-	// trace.PhaseIndex; atomic because workers observe spans directly.
-	phases [6]phaseHist
+	// trace.PhaseIndex; lock-free because workers observe spans directly.
+	phases [6]*obs.Histogram
 
 	mu      sync.Mutex
 	start   time.Time
@@ -105,7 +71,13 @@ type workerStat struct {
 // NewTelemetry returns an empty registry. The Runner creates one
 // automatically; supply a shared instance with WithTelemetry to read it
 // after (or during) a run.
-func NewTelemetry() *Telemetry { return &Telemetry{} }
+func NewTelemetry() *Telemetry {
+	t := &Telemetry{}
+	for i := range t.phases {
+		t.phases[i] = obs.NewHistogram(nPhaseBuckets)
+	}
+	return t
+}
 
 // begin resets the registry for a campaign of total trials over the
 // given worker-pool size and starts the throughput clock.
@@ -124,8 +96,8 @@ func (t *Telemetry) begin(total, workers int) {
 	t.traced.Store(0)
 	t.batchSteps.Store(0)
 	t.batchRows.Store(0)
-	for i := range t.phases {
-		t.phases[i].reset()
+	for _, h := range t.phases {
+		h.Reset()
 	}
 }
 
@@ -195,7 +167,7 @@ func (t *Telemetry) observeBatch(rows int) {
 // Lock-free: workers call it directly as trials complete.
 func (t *Telemetry) observePhase(p trace.Phase, d time.Duration) {
 	if i := trace.PhaseIndex(p); i >= 0 && i < len(t.phases) {
-		t.phases[i].observe(d)
+		t.phases[i].Observe(d)
 	}
 }
 
@@ -329,25 +301,20 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 		}
 		s.Workers = append(s.Workers, ws)
 	}
-	for i := range t.phases {
-		h := &t.phases[i]
-		n := h.count.Load()
-		if n == 0 {
+	for i, h := range t.phases {
+		hs := h.Snapshot()
+		if hs.Count == 0 {
 			continue
 		}
-		ps := PhaseSnapshot{
+		s.Phases = append(s.Phases, PhaseSnapshot{
 			Phase:      string(trace.Phases[i]),
-			Count:      n,
-			SumSeconds: time.Duration(h.sumNanos.Load()).Seconds(),
-			Buckets:    make([]int64, len(h.buckets)),
-		}
-		for b := range h.buckets {
-			ps.Buckets[b] = h.buckets[b].Load()
-		}
-		s.Phases = append(s.Phases, ps)
+			Count:      hs.Count,
+			SumSeconds: hs.Sum,
+			Buckets:    hs.Buckets,
+		})
 	}
 	if len(s.Phases) > 0 {
-		s.PhaseBucketBounds = append([]float64(nil), phaseBucketBounds...)
+		s.PhaseBucketBounds = append([]float64(nil), t.phases[0].Bounds()...)
 	}
 	return s
 }

@@ -37,8 +37,8 @@ type Config struct {
 	Progress io.Writer
 	// TraceEvery, with TraceSink, enables propagation tracing for every
 	// campaign an experiment runs: each N-th trial's trace.Record goes to
-	// the sink. cmd/figures wires a report.TraceWriter here behind
-	// -trace. Experiments that consume traces themselves (fig_propagation)
+	// the sink. cmd/figures wires an obs.JSONLWriter[trace.Record]
+	// here behind -trace. Experiments that consume traces themselves (fig_propagation)
 	// trace their campaigns regardless of this setting.
 	TraceEvery int
 	TraceSink  func(trace.Record) error

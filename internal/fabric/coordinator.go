@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -218,7 +219,7 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc(report.APIVersion+"/", func(w http.ResponseWriter, r *http.Request) {
 		report.WriteAPIError(w, http.StatusNotFound, "not_found", "unknown API path "+r.URL.Path)
 	})
-	mux.HandleFunc("/metrics", co.handleMetrics)
+	mux.HandleFunc("/metrics", obs.MetricsHandler(co.writeMetrics))
 	mux.HandleFunc("/healthz", co.handleHealthz)
 	mux.HandleFunc("/debug/fleet", obs.DashboardHandler(co.dashboardData))
 	return mux
@@ -638,13 +639,15 @@ func (co *Coordinator) Status() StatusResponse {
 	return s
 }
 
-func (co *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", report.ContentTypeMetrics)
-	_ = report.WriteBuildInfoText(w, SchemaVersion)
-	_ = WriteFleetMetricsText(w, co.Status())
-	// The aggregated worker series (llmfi_fleet_*) render after the
-	// coordinator's own fabric families.
-	_ = co.fan.WriteText(w)
+// writeMetrics renders the /metrics body: build identity (labelled with
+// the wire schema), the coordinator's own fabric families, then the
+// aggregated worker series (llmfi_fleet_*).
+func (co *Coordinator) writeMetrics(w io.Writer) error {
+	p := obs.NewMetricsWriter(w)
+	p.BuildInfo(version.Version, SchemaVersion)
+	WriteFleetMetricsText(p, co.Status())
+	co.fan.WriteText(p)
+	return p.Flush()
 }
 
 // dashboardData gathers the live fleet view for /debug/fleet.
@@ -667,9 +670,7 @@ func (co *Coordinator) dashboardData() obs.DashboardData {
 		})
 	}
 	var metrics strings.Builder
-	_ = report.WriteBuildInfoText(&metrics, SchemaVersion)
-	_ = WriteFleetMetricsText(&metrics, s)
-	_ = co.fan.WriteText(&metrics)
+	_ = co.writeMetrics(&metrics)
 	return obs.DashboardData{
 		Title:    "llmfi fleet",
 		Version:  version.Version,

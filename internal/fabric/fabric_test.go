@@ -533,14 +533,8 @@ func TestFleetMetricsText(t *testing.T) {
 			{Worker: "w2", Trials: 10, TrialsPerSec: 4, OutstandingTrials: 4, OutstandingLeases: 1, LastSeenSec: 1.25},
 		},
 	}
-	var a, b strings.Builder
-	if err := WriteFleetMetricsText(&a, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFleetMetricsText(&b, s); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
+	a, b := fleetText(t, s), fleetText(t, s)
+	if a != b {
 		t.Fatal("fleet exposition is not deterministic")
 	}
 	for _, line := range []string{
@@ -557,7 +551,7 @@ func TestFleetMetricsText(t *testing.T) {
 		`llmfi_fabric_worker_trials_per_second{worker="w2"} 4`,
 		`llmfi_fabric_worker_last_seen_seconds{worker="w2"} 1.25`,
 	} {
-		if !strings.Contains(a.String(), line+"\n") {
+		if !strings.Contains(a, line+"\n") {
 			t.Errorf("fleet exposition missing %q", line)
 		}
 	}

@@ -2,28 +2,24 @@ package fabric
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
+
+	"repro/internal/obs"
 )
 
-// WriteFleetMetricsText renders the fleet status in the Prometheus text
-// exposition format (version 0.0.4) — the multi-node counterpart of
-// report.WriteMetricsText. Output is deterministic for a given status
-// (fixed family order, workers sorted by name), so it can be golden
-// tested and diffed across scrapes.
-func WriteFleetMetricsText(w io.Writer, s StatusResponse) error {
-	var b strings.Builder
+// WriteFleetMetricsText renders the fleet status onto p — the
+// multi-node counterpart of report.WriteMetricsText. Output is
+// deterministic for a given status (fixed family order, workers sorted
+// by name), so it can be golden tested and diffed across scrapes.
+func WriteFleetMetricsText(p *obs.MetricsWriter, s StatusResponse) {
 	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-			name, help, name, name, fmtVal(v))
+		p.Family(name, "gauge", help)
+		p.Sample(name, v)
 	}
 	counter := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %s\n",
-			name, help, name, name, fmtVal(v))
+		p.Family(name, "counter", help)
+		p.Sample(name, v)
 	}
 
 	gauge("llmfi_fabric_trials_total", "Trials configured for the distributed campaign.", float64(s.Trials))
@@ -43,32 +39,23 @@ func WriteFleetMetricsText(w io.Writer, s StatusResponse) error {
 	gauge("llmfi_fabric_finished", "Whether every trial is merged (0/1).", finished)
 
 	if len(s.Workers) > 0 {
-		fmt.Fprintf(&b, "# HELP llmfi_fabric_worker_trials Trials accepted per worker.\n# TYPE llmfi_fabric_worker_trials gauge\n")
+		p.Family("llmfi_fabric_worker_trials", "gauge", "Trials accepted per worker.")
 		for _, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_fabric_worker_trials{worker=%q} %d\n", ws.Worker, ws.Trials)
+			p.Int("llmfi_fabric_worker_trials", int64(ws.Trials), "worker", ws.Worker)
 		}
-		fmt.Fprintf(&b, "# HELP llmfi_fabric_worker_trials_per_second Accepted-trial rate per worker since it joined.\n# TYPE llmfi_fabric_worker_trials_per_second gauge\n")
+		p.Family("llmfi_fabric_worker_trials_per_second", "gauge", "Accepted-trial rate per worker since it joined.")
 		for _, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_fabric_worker_trials_per_second{worker=%q} %s\n", ws.Worker, fmtVal(ws.TrialsPerSec))
+			p.Sample("llmfi_fabric_worker_trials_per_second", ws.TrialsPerSec, "worker", ws.Worker)
 		}
-		fmt.Fprintf(&b, "# HELP llmfi_fabric_worker_outstanding_trials Leased, unsubmitted indices per worker.\n# TYPE llmfi_fabric_worker_outstanding_trials gauge\n")
+		p.Family("llmfi_fabric_worker_outstanding_trials", "gauge", "Leased, unsubmitted indices per worker.")
 		for _, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_fabric_worker_outstanding_trials{worker=%q} %d\n", ws.Worker, ws.OutstandingTrials)
+			p.Int("llmfi_fabric_worker_outstanding_trials", int64(ws.OutstandingTrials), "worker", ws.Worker)
 		}
-		fmt.Fprintf(&b, "# HELP llmfi_fabric_worker_last_seen_seconds Seconds since each worker's last request.\n# TYPE llmfi_fabric_worker_last_seen_seconds gauge\n")
+		p.Family("llmfi_fabric_worker_last_seen_seconds", "gauge", "Seconds since each worker's last request.")
 		for _, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_fabric_worker_last_seen_seconds{worker=%q} %s\n", ws.Worker, fmtVal(ws.LastSeenSec))
+			p.Sample("llmfi_fabric_worker_last_seen_seconds", ws.LastSeenSec, "worker", ws.Worker)
 		}
 	}
-
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// fmtVal renders a sample value the way Prometheus clients do: shortest
-// round-trip representation, integers without a decimal point.
-func fmtVal(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // writeJSON writes an indented JSON response body.

@@ -1,12 +1,16 @@
 package fabric
 
 import (
+	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/version"
 )
 
@@ -20,6 +24,18 @@ func requireTextGolden(t *testing.T, name, got string) {
 	if got != string(want) {
 		t.Fatalf("exposition drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
+}
+
+// fleetText renders a status's fleet exposition.
+func fleetText(t *testing.T, s StatusResponse) string {
+	t.Helper()
+	var b strings.Builder
+	p := obs.NewMetricsWriter(&b)
+	WriteFleetMetricsText(p, s)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // TestFleetMetricsGolden pins the coordinator's fleet exposition byte
@@ -37,11 +53,7 @@ func TestFleetMetricsGolden(t *testing.T) {
 			{Worker: "w2", Trials: 1, TrialsPerSec: 0.5, OutstandingTrials: 64, OutstandingLeases: 1, LastSeenSec: 2},
 		},
 	}
-	var b strings.Builder
-	if err := WriteFleetMetricsText(&b, s); err != nil {
-		t.Fatal(err)
-	}
-	requireTextGolden(t, "fleet_metrics_golden.txt", b.String())
+	requireTextGolden(t, "fleet_metrics_golden.txt", fleetText(t, s))
 }
 
 // TestWorkerMetricsGolden pins a worker's self /metrics body byte for
@@ -63,4 +75,69 @@ func TestWorkerMetricsGolden(t *testing.T) {
 	}
 	body := strings.ReplaceAll(rr.Body.String(), `version="`+version.Version+`"`, `version="VERSION"`)
 	requireTextGolden(t, "worker_metrics_golden.txt", body)
+}
+
+// TestWorkerNameLabelsRoundTrip: worker names arrive unvalidated in
+// JoinRequest.Worker, so every per-worker series on the coordinator's
+// /metrics must escape them as Prometheus label values. Each worker
+// label parsed back from a scrape must equal the name the join
+// confirmed — across the fabric families, the fan-in liveness families
+// and the re-exported worker series. (JSON decoding turns invalid UTF-8
+// into U+FFFD, so "w\xff1" joins as "w�1"; the raw-byte case is
+// covered at the writer in internal/obs.)
+func TestWorkerNameLabelsRoundTrip(t *testing.T) {
+	co, err := NewCoordinator(CoordinatorConfig{Campaign: testCampaign(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, "llmfi_worker_self_trials_total 3\n")
+	}))
+	defer stub.Close()
+
+	joined := map[string]bool{}
+	for _, name := range []string{"w\t1", "w\"1\\", "w\n1", "w\xff1"} {
+		var jr JoinResponse
+		if code := postJSON(t, ts.URL+PathJoin, JoinRequest{
+			Schema: SchemaVersion, Version: version.Version,
+			Fingerprint: co.cfg.Campaign.Fingerprint(),
+			Worker:      name, HTTPAddr: stub.URL,
+		}, &jr); code != http.StatusOK {
+			t.Fatalf("join %q: status %d", name, code)
+		}
+		joined[jr.Worker] = true
+	}
+	co.FanIn().ScrapeOnce(context.Background())
+
+	samples, err := obs.ParseMetricsText(strings.NewReader(httpGet(t, ts.URL+"/metrics")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]map[string]bool{}
+	for _, smp := range samples {
+		for _, l := range smp.Labels {
+			if l.Key != "worker" {
+				continue
+			}
+			if !joined[l.Val] {
+				t.Errorf("%s: worker label %q is not a joined name", smp.Name, l.Val)
+			}
+			if seen[smp.Name] == nil {
+				seen[smp.Name] = map[string]bool{}
+			}
+			seen[smp.Name][l.Val] = true
+		}
+	}
+	for _, fam := range []string{
+		"llmfi_fabric_worker_trials", "llmfi_fabric_worker_trials_per_second",
+		"llmfi_fabric_worker_outstanding_trials", "llmfi_fabric_worker_last_seen_seconds",
+		"llmfi_fleet_worker_up", "llmfi_fleet_worker_scrapes_total",
+		"llmfi_fleet_worker_scrape_errors_total", "llmfi_fleet_worker_self_trials_total",
+	} {
+		if len(seen[fam]) != len(joined) {
+			t.Errorf("%s carries %d distinct worker labels, want %d", fam, len(seen[fam]), len(joined))
+		}
+	}
 }

@@ -129,7 +129,7 @@ func (w *Worker) Executed() int { return w.executed }
 // /healthz. Serve it on the address advertised via WorkerConfig.HTTPAddr.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", w.handleMetrics)
+	mux.HandleFunc("/metrics", obs.MetricsHandler(w.writeMetrics))
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		writeJSON(rw, struct {
 			Status string `json:"status"`
@@ -140,20 +140,24 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
-	rw.Header().Set("Content-Type", report.ContentTypeMetrics)
-	_ = report.WriteBuildInfoText(rw, SchemaVersion)
+// writeMetrics renders the /metrics body: build identity (labelled with
+// the wire schema), then the worker's self-counters.
+func (w *Worker) writeMetrics(rw io.Writer) error {
+	p := obs.NewMetricsWriter(rw)
+	p.BuildInfo(version.Version, SchemaVersion)
 	// The llmfi_worker_self_* prefix keeps these distinct from the
 	// campaign telemetry's llmfi_worker_* (pool workers) and the
 	// coordinator's llmfi_fabric_worker_* (fleet view) families.
 	counter := func(name, help string, v int64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+		p.Family(name, "counter", help)
+		p.Int(name, v)
 	}
 	counter("llmfi_worker_self_leases_total", "Leases this worker has executed.", w.selfLeases.Load())
 	counter("llmfi_worker_self_trials_total", "Trials this worker has completed and submitted.", w.selfTrials.Load())
 	counter("llmfi_worker_self_submits_total", "Result submissions posted to the coordinator.", w.selfSubmits.Load())
 	counter("llmfi_worker_self_duplicates_total", "Submitted trials the coordinator discarded as duplicates.", w.selfDuplicates.Load())
 	counter("llmfi_worker_self_spans_total", "Spans recorded by this worker's recorder.", int64(w.cfg.Recorder.Count()))
+	return p.Flush()
 }
 
 // Run joins the fleet and works leases until the campaign completes

@@ -266,30 +266,26 @@ func (f *FanIn) Run(ctx context.Context, every time.Duration) {
 	}
 }
 
-// labelsKey renders labels canonically for grouping and output.
-func labelsKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+// canonLabels orders labels by their rendered `key="value"` form. It
+// returns that rendering joined, as a grouping key, and the ordered
+// labels as key, value pairs for MetricsWriter.
+func canonLabels(labels []Label) (key string, kv []string) {
+	part := func(l Label) string { return l.Key + `="` + labelEscaper.Replace(l.Val) + `"` }
+	ls := append([]Label(nil), labels...)
+	sort.Slice(ls, func(i, j int) bool { return part(ls[i]) < part(ls[j]) })
+	parts := make([]string, len(ls))
+	for i, l := range ls {
+		parts[i] = part(l)
+		kv = append(kv, l.Key, l.Val)
 	}
-	parts := make([]string, 0, len(labels))
-	for _, l := range labels {
-		parts = append(parts, l.Key+`="`+escapeLabel(l.Val)+`"`)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	return strings.Join(parts, ","), kv
 }
 
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// WriteText renders the fan-in state as Prometheus text: per-worker
-// liveness/scrape counters, then for every scraped llmfi_* family the
-// fleet aggregate (sum and max across workers) and the per-worker
-// series, deterministically ordered.
-func (f *FanIn) WriteText(w io.Writer) error {
+// WriteText renders the fan-in state onto p: per-worker liveness/scrape
+// counters, then for every scraped llmfi_* family the fleet aggregate
+// (sum and max across workers) and the per-worker series,
+// deterministically ordered.
+func (f *FanIn) WriteText(p *MetricsWriter) {
 	f.mu.Lock()
 	type workerSnap struct {
 		name string
@@ -302,31 +298,28 @@ func (f *FanIn) WriteText(w io.Writer) error {
 	f.mu.Unlock()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].name < snaps[j].name })
 
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# HELP llmfi_fleet_worker_up Whether the last scrape of this worker's /metrics succeeded.\n")
-	fmt.Fprintf(bw, "# TYPE llmfi_fleet_worker_up gauge\n")
+	p.Family("llmfi_fleet_worker_up", "gauge", "Whether the last scrape of this worker's /metrics succeeded.")
 	for _, s := range snaps {
-		up := 0
+		up := int64(0)
 		if s.st.up {
 			up = 1
 		}
-		fmt.Fprintf(bw, "llmfi_fleet_worker_up{worker=%q} %d\n", s.name, up)
+		p.Int("llmfi_fleet_worker_up", up, "worker", s.name)
 	}
-	fmt.Fprintf(bw, "# HELP llmfi_fleet_worker_scrapes_total Scrape attempts against this worker.\n")
-	fmt.Fprintf(bw, "# TYPE llmfi_fleet_worker_scrapes_total counter\n")
+	p.Family("llmfi_fleet_worker_scrapes_total", "counter", "Scrape attempts against this worker.")
 	for _, s := range snaps {
-		fmt.Fprintf(bw, "llmfi_fleet_worker_scrapes_total{worker=%q} %d\n", s.name, s.st.scrapes)
+		p.Int("llmfi_fleet_worker_scrapes_total", int64(s.st.scrapes), "worker", s.name)
 	}
-	fmt.Fprintf(bw, "# HELP llmfi_fleet_worker_scrape_errors_total Failed scrapes against this worker.\n")
-	fmt.Fprintf(bw, "# TYPE llmfi_fleet_worker_scrape_errors_total counter\n")
+	p.Family("llmfi_fleet_worker_scrape_errors_total", "counter", "Failed scrapes against this worker.")
 	for _, s := range snaps {
-		fmt.Fprintf(bw, "llmfi_fleet_worker_scrape_errors_total{worker=%q} %d\n", s.name, s.st.errors)
+		p.Int("llmfi_fleet_worker_scrape_errors_total", int64(s.st.errors), "worker", s.name)
 	}
 
-	// Group samples: family -> labelset key -> per-worker values.
+	// Group samples: family -> per-worker cells keyed by label set.
 	type cell struct {
 		worker string
-		labels string
+		key    string   // canonical label set: grouping and order
+		labels []string // the same labels as key, value pairs
 		value  float64
 	}
 	families := make(map[string][]cell)
@@ -341,11 +334,8 @@ func (f *FanIn) WriteText(w io.Writer) error {
 				continue
 			}
 			fam := "llmfi_fleet_" + strings.TrimPrefix(smp.Name, "llmfi_")
-			families[fam] = append(families[fam], cell{
-				worker: s.name,
-				labels: labelsKey(smp.Labels),
-				value:  smp.Value,
-			})
+			key, kv := canonLabels(smp.Labels)
+			families[fam] = append(families[fam], cell{worker: s.name, key: key, labels: kv, value: smp.Value})
 		}
 	}
 	famNames := make([]string, 0, len(families))
@@ -355,46 +345,35 @@ func (f *FanIn) WriteText(w io.Writer) error {
 	sort.Strings(famNames)
 	for _, fam := range famNames {
 		cells := families[fam]
-		fmt.Fprintf(bw, "# HELP %s Fleet aggregate of the workers' %s.\n", fam, "llmfi_"+strings.TrimPrefix(fam, "llmfi_fleet_"))
-		fmt.Fprintf(bw, "# TYPE %s untyped\n", fam)
-		// Aggregate per original labelset across workers.
+		p.Family(fam, "untyped", "Fleet aggregate of the workers' llmfi_"+strings.TrimPrefix(fam, "llmfi_fleet_")+".")
+		// Aggregate per original label set across workers.
 		sums := make(map[string]float64)
 		maxs := make(map[string]float64)
-		seen := make(map[string]bool)
+		labels := make(map[string][]string)
 		var keys []string
 		for _, c := range cells {
-			if !seen[c.labels] {
-				seen[c.labels] = true
-				keys = append(keys, c.labels)
-				maxs[c.labels] = c.value
-			} else if c.value > maxs[c.labels] {
-				maxs[c.labels] = c.value
+			if _, seen := labels[c.key]; !seen {
+				labels[c.key] = c.labels
+				keys = append(keys, c.key)
+				maxs[c.key] = c.value
+			} else if c.value > maxs[c.key] {
+				maxs[c.key] = c.value
 			}
-			sums[c.labels] += c.value
+			sums[c.key] += c.value
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(bw, "%s{%s} %s\n", fam, joinLabels(`agg="sum"`, k), fmtVal(sums[k]))
-			fmt.Fprintf(bw, "%s{%s} %s\n", fam, joinLabels(`agg="max"`, k), fmtVal(maxs[k]))
+			p.Sample(fam, sums[k], append([]string{"agg", "sum"}, labels[k]...)...)
+			p.Sample(fam, maxs[k], append([]string{"agg", "max"}, labels[k]...)...)
 		}
 		sort.Slice(cells, func(i, j int) bool {
 			if cells[i].worker != cells[j].worker {
 				return cells[i].worker < cells[j].worker
 			}
-			return cells[i].labels < cells[j].labels
+			return cells[i].key < cells[j].key
 		})
 		for _, c := range cells {
-			fmt.Fprintf(bw, "%s{%s} %s\n", fam, joinLabels(`worker="`+escapeLabel(c.worker)+`"`, c.labels), fmtVal(c.value))
+			p.Sample(fam, c.value, append([]string{"worker", c.worker}, c.labels...)...)
 		}
 	}
-	return bw.Flush()
 }
-
-func joinLabels(first, rest string) string {
-	if rest == "" {
-		return first
-	}
-	return first + "," + rest
-}
-
-func fmtVal(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -44,6 +44,18 @@ llmfi_z{s="v"} 7 1712345678
 	}
 }
 
+// fanInText renders f's exposition.
+func fanInText(t *testing.T, f *FanIn) string {
+	t.Helper()
+	var b strings.Builder
+	p := NewMetricsWriter(&b)
+	f.WriteText(p)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // metricsStub serves a fixed Prometheus body.
 func metricsStub(t *testing.T, body string) *httptest.Server {
 	t.Helper()
@@ -70,11 +82,7 @@ func TestFanInAggregates(t *testing.T) {
 	f.Register("w2", w2.URL)
 	f.ScrapeOnce(context.Background())
 
-	var b strings.Builder
-	if err := f.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := fanInText(t, f)
 	for _, want := range []string{
 		`llmfi_fleet_worker_up{worker="w1"} 1`,
 		`llmfi_fleet_worker_up{worker="w2"} 1`,
@@ -111,11 +119,7 @@ func TestFanInChurn(t *testing.T) {
 	w2.Close() // SIGKILL'd worker: connection refused on the next scrape
 	f.ScrapeOnce(context.Background())
 
-	var b strings.Builder
-	if err := f.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := fanInText(t, f)
 	for _, want := range []string{
 		`llmfi_fleet_worker_up{worker="w1"} 1`,
 		`llmfi_fleet_worker_up{worker="w2"} 0`,
@@ -194,15 +198,12 @@ func TestFanInGolden(t *testing.T) {
 		{Name: "llmfi_lat", Labels: []Label{{Key: "q", Val: "p50"}, {Key: "le", Val: "0.5"}}, Value: 1.5},
 		{Name: "llmfi_lat", Labels: []Label{{Key: "q", Val: "p99"}}, Value: 2},
 	}}
-	var b strings.Builder
-	if err := f.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
+	got := fanInText(t, f)
 	want, err := os.ReadFile(filepath.Join("testdata", "fanin_golden.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.String() != string(want) {
-		t.Fatalf("fan-in exposition drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", b.String(), want)
+	if got != string(want) {
+		t.Fatalf("fan-in exposition drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -4,7 +4,10 @@
 // propagation over the existing /api/v1 wire; a coordinator-side
 // metrics fan-in that scrapes worker /metrics endpoints and re-exports
 // aggregated llmfi_fleet_* series; and a zero-dependency live HTML
-// dashboard.
+// dashboard. It also holds the telemetry substrate every surface
+// shares: the one Prometheus exposition writer (MetricsWriter), the one
+// latency histogram (Histogram) and the one JSONL record codec
+// (JSONLWriter, ReadJSONL).
 //
 // The plane is observational by construction, the same contract the
 // propagation-trace layer (internal/trace) and telemetry registry obey:

@@ -123,11 +123,14 @@ func TestRecorderRingAndSink(t *testing.T) {
 	}
 }
 
+// spanSchema reads a span's schema for ReadJSONL.
+func spanSchema(sp Span) int { return sp.Schema }
+
 // TestSpanWriterRoundTrip: spans written as JSONL read back identical,
 // and a schema mismatch is refused rather than misread.
 func TestSpanWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	sw := NewSpanWriter(&buf)
+	sw := NewJSONLWriter[Span](&buf)
 	rec := NewRecorder(Config{Service: "w", Sample: 1, Sink: sw.Write})
 	ctx := rec.StartTrace()
 	rec.Record(NewSpan(ctx, "", "root", time.Unix(1, 0), 2*time.Second, Str("k", "v"), Num("f", 0.5)))
@@ -140,7 +143,7 @@ func TestSpanWriterRoundTrip(t *testing.T) {
 		t.Fatalf("writer Count() = %d, want 2", sw.Count())
 	}
 
-	got, err := ReadSpans(bytes.NewReader(buf.Bytes()))
+	got, err := ReadJSONL(bytes.NewReader(buf.Bytes()), SchemaVersion, spanSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +159,8 @@ func TestSpanWriterRoundTrip(t *testing.T) {
 
 	// Schema refusal: a record from a different schema version errors.
 	tampered := strings.Replace(buf.String(), `"schema":1`, `"schema":99`, 1)
-	if _, err := ReadSpans(strings.NewReader(tampered)); err == nil {
-		t.Fatal("ReadSpans accepted a foreign schema version")
+	if _, err := ReadJSONL(strings.NewReader(tampered), SchemaVersion, spanSchema); err == nil {
+		t.Fatal("ReadJSONL accepted a foreign schema version")
 	} else if !strings.Contains(err.Error(), "schema 99") {
 		t.Fatalf("schema refusal error unhelpful: %v", err)
 	}
@@ -165,9 +168,9 @@ func TestSpanWriterRoundTrip(t *testing.T) {
 	// Unknown-field refusal: a span record carrying a key this reader
 	// doesn't know means a newer writer — refuse, don't drop.
 	drifted := strings.Replace(buf.String(), `"schema":1`, `"schema":1,"from_the_future":true`, 1)
-	if _, err := ReadSpans(strings.NewReader(drifted)); err == nil ||
+	if _, err := ReadJSONL(strings.NewReader(drifted), SchemaVersion, spanSchema); err == nil ||
 		!strings.Contains(err.Error(), "from_the_future") {
-		t.Fatalf("ReadSpans did not reject an unknown field: %v", err)
+		t.Fatalf("ReadJSONL did not reject an unknown field: %v", err)
 	}
 }
 

@@ -15,9 +15,9 @@ type Config struct {
 	// N+1th, ...). Child spans follow their root's decision — the
 	// caller only starts a trace after SampleRoot says yes.
 	Sample int
-	// Sink, when set, receives every recorded span (e.g. a SpanWriter).
-	// A sink error stops further sink writes and is surfaced via Err;
-	// the in-memory ring keeps working.
+	// Sink, when set, receives every recorded span (e.g. the Write of
+	// a JSONLWriter[Span]). A sink error stops further sink writes and
+	// is surfaced via Err; the in-memory ring keeps working.
 	Sink func(Span) error
 	// Recent bounds the in-memory ring of recent spans served to the
 	// dashboard. Default 64.

@@ -32,7 +32,7 @@ func TestStrictUnmarshal(t *testing.T) {
 // refuse it rather than drop the field.
 func TestReadTracesRejectsUnknownField(t *testing.T) {
 	line := fmt.Sprintf(`{"schema":%d,"from_the_future":true}`+"\n", trace.SchemaVersion)
-	if _, err := ReadTraces(strings.NewReader(line)); err == nil ||
+	if _, err := readTraces(strings.NewReader(line)); err == nil ||
 		!strings.Contains(err.Error(), "from_the_future") {
 		t.Fatalf("unknown field not rejected: %v", err)
 	}

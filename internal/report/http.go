@@ -2,12 +2,15 @@ package report
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/version"
 )
 
 // recentTrials bounds the /trials ring buffer.
@@ -91,7 +94,7 @@ func (s *Server) Observe(ev core.Event) {
 // locations; campaign data lives under the versioned APIVersion prefix.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/metrics", obs.MetricsHandler(s.writeMetrics))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc(APIVersion+"/trials", s.handleTrials)
 	// The pre-v1 path survives as a permanent redirect so existing
@@ -110,10 +113,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", ContentTypeMetrics)
-	_ = WriteBuildInfoText(w, trace.SchemaVersion)
-	_ = WriteMetricsText(w, s.tel.Snapshot())
+// writeMetrics renders the /metrics body: build identity (labelled with
+// the trace schema), then the campaign telemetry.
+func (s *Server) writeMetrics(w io.Writer) error {
+	p := obs.NewMetricsWriter(w)
+	p.BuildInfo(version.Version, trace.SchemaVersion)
+	WriteMetricsText(p, s.tel.Snapshot())
+	return p.Flush()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

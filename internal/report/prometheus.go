@@ -1,32 +1,11 @@
 package report
 
 import (
-	"fmt"
-	"io"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
-	"repro/internal/version"
+	"repro/internal/obs"
 )
-
-// ContentTypeMetrics is the Content-Type every llmfi /metrics endpoint
-// serves: Prometheus text exposition format 0.0.4.
-const ContentTypeMetrics = "text/plain; version=0.0.4; charset=utf-8"
-
-// WriteBuildInfoText emits the llmfi_build_info gauge shared by every
-// Prometheus surface (report, serve, fabric). Its labels pin the build:
-// version from internal/version — the single source of truth the fleet
-// handshake also compares — and the schema version of whatever record
-// stream that surface exports (trace, span, or wire schema).
-func WriteBuildInfoText(w io.Writer, schema int) error {
-	_, err := fmt.Fprintf(w,
-		"# HELP llmfi_build_info Build identity of this llmfi process.\n"+
-			"# TYPE llmfi_build_info gauge\n"+
-			"llmfi_build_info{version=%q,schema=\"%d\"} 1\n",
-		version.Version, schema)
-	return err
-}
 
 // WriteMetricsText renders a telemetry snapshot in the Prometheus text
 // exposition format (version 0.0.4): campaign gauges, outcome-class and
@@ -34,15 +13,14 @@ func WriteBuildInfoText(w io.Writer, schema int) error {
 // histograms. Output is deterministic for a given snapshot — families in
 // a fixed order, label values in input order — so it can be golden
 // tested and diffed across scrapes.
-func WriteMetricsText(w io.Writer, s core.TelemetrySnapshot) error {
-	var b strings.Builder
+func WriteMetricsText(p *obs.MetricsWriter, s core.TelemetrySnapshot) {
 	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-			name, help, name, name, fmtVal(v))
+		p.Family(name, "gauge", help)
+		p.Sample(name, v)
 	}
 	counter := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %s\n",
-			name, help, name, name, fmtVal(v))
+		p.Family(name, "counter", help)
+		p.Sample(name, v)
 	}
 
 	gauge("llmfi_trials_total", "Trials configured for the campaign.", float64(s.TotalTrials))
@@ -53,10 +31,10 @@ func WriteMetricsText(w io.Writer, s core.TelemetrySnapshot) error {
 	gauge("llmfi_trials_per_second", "Throughput of this run (resumed trials excluded).", s.TrialsPerSec)
 	gauge("llmfi_elapsed_seconds", "Wall time since the campaign (or resumed run) started.", s.ElapsedSeconds)
 
-	fmt.Fprintf(&b, "# HELP llmfi_outcome_trials Completed trials by outcome class.\n# TYPE llmfi_outcome_trials gauge\n")
-	fmt.Fprintf(&b, "llmfi_outcome_trials{class=\"masked\"} %d\n", s.Masked)
-	fmt.Fprintf(&b, "llmfi_outcome_trials{class=\"sdc_subtle\"} %d\n", s.Subtle)
-	fmt.Fprintf(&b, "llmfi_outcome_trials{class=\"sdc_distorted\"} %d\n", s.Distorted)
+	p.Family("llmfi_outcome_trials", "gauge", "Completed trials by outcome class.")
+	p.Int("llmfi_outcome_trials", int64(s.Masked), "class", "masked")
+	p.Int("llmfi_outcome_trials", int64(s.Subtle), "class", "sdc_subtle")
+	p.Int("llmfi_outcome_trials", int64(s.Distorted), "class", "sdc_distorted")
 
 	counter("llmfi_hook_fires_total", "Forward-hook invocations of the mitigation (ExtraHook) slot.", float64(s.HookFires))
 	counter("llmfi_traced_trials_total", "Trials that produced a propagation-trace record.", float64(s.TracedTrials))
@@ -75,43 +53,24 @@ func WriteMetricsText(w io.Writer, s core.TelemetrySnapshot) error {
 	counter("llmfi_abft_skipped_total", "Flagged rows zeroed after failed recomputation.", float64(s.AbftSkipped))
 
 	if len(s.Workers) > 0 {
-		fmt.Fprintf(&b, "# HELP llmfi_worker_trials Trials completed per pool worker.\n# TYPE llmfi_worker_trials gauge\n")
+		p.Family("llmfi_worker_trials", "gauge", "Trials completed per pool worker.")
 		for i, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_worker_trials{worker=\"%d\"} %d\n", i, ws.Trials)
+			p.Int("llmfi_worker_trials", int64(ws.Trials), "worker", strconv.Itoa(i))
 		}
-		fmt.Fprintf(&b, "# HELP llmfi_worker_busy_seconds Time each worker spent inside trials.\n# TYPE llmfi_worker_busy_seconds gauge\n")
+		p.Family("llmfi_worker_busy_seconds", "gauge", "Time each worker spent inside trials.")
 		for i, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_worker_busy_seconds{worker=\"%d\"} %s\n", i, fmtVal(ws.BusySeconds))
+			p.Sample("llmfi_worker_busy_seconds", ws.BusySeconds, "worker", strconv.Itoa(i))
 		}
-		fmt.Fprintf(&b, "# HELP llmfi_worker_utilization Worker busy time over campaign wall time.\n# TYPE llmfi_worker_utilization gauge\n")
+		p.Family("llmfi_worker_utilization", "gauge", "Worker busy time over campaign wall time.")
 		for i, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_worker_utilization{worker=\"%d\"} %s\n", i, fmtVal(ws.Utilization))
+			p.Sample("llmfi_worker_utilization", ws.Utilization, "worker", strconv.Itoa(i))
 		}
 	}
 
 	if len(s.Phases) > 0 {
-		fmt.Fprintf(&b, "# HELP llmfi_phase_latency_seconds Per-trial latency by campaign phase.\n# TYPE llmfi_phase_latency_seconds histogram\n")
+		p.Family("llmfi_phase_latency_seconds", "histogram", "Per-trial latency by campaign phase.")
 		for _, ph := range s.Phases {
-			cum := int64(0)
-			for i, n := range ph.Buckets {
-				cum += n
-				le := "+Inf"
-				if i < len(s.PhaseBucketBounds) {
-					le = fmtVal(s.PhaseBucketBounds[i])
-				}
-				fmt.Fprintf(&b, "llmfi_phase_latency_seconds_bucket{phase=%q,le=%q} %d\n", ph.Phase, le, cum)
-			}
-			fmt.Fprintf(&b, "llmfi_phase_latency_seconds_sum{phase=%q} %s\n", ph.Phase, fmtVal(ph.SumSeconds))
-			fmt.Fprintf(&b, "llmfi_phase_latency_seconds_count{phase=%q} %d\n", ph.Phase, ph.Count)
+			p.Histogram("llmfi_phase_latency_seconds", s.PhaseBucketBounds, ph.Buckets, ph.Count, ph.SumSeconds, "phase", ph.Phase)
 		}
 	}
-
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// fmtVal renders a sample value the way Prometheus clients do: shortest
-// round-trip representation, integers without a decimal point.
-func fmtVal(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

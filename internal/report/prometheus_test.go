@@ -1,33 +1,36 @@
 package report
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"encoding/json"
-	"os"
-
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/version"
 )
 
-// TestWriteBuildInfoText pins the exact shape of the build-identity
-// gauge every /metrics surface emits first.
-func TestWriteBuildInfoText(t *testing.T) {
+// metricsText renders a snapshot's campaign exposition.
+func metricsText(t *testing.T, s core.TelemetrySnapshot) string {
+	t.Helper()
 	var b strings.Builder
-	if err := WriteBuildInfoText(&b, 7); err != nil {
+	p := obs.NewMetricsWriter(&b)
+	WriteMetricsText(p, s)
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := "# HELP llmfi_build_info Build identity of this llmfi process.\n" +
-		"# TYPE llmfi_build_info gauge\n" +
-		fmt.Sprintf("llmfi_build_info{version=%q,schema=\"7\"} 1\n", version.Version)
-	if b.String() != want {
-		t.Fatalf("WriteBuildInfoText:\n got %q\nwant %q", b.String(), want)
-	}
+	return b.String()
+}
+
+// readTraces decodes a propagation-trace JSONL stream.
+func readTraces(r io.Reader) ([]trace.Record, error) {
+	return obs.ReadJSONL(r, trace.SchemaVersion, func(rec trace.Record) int { return rec.Schema })
 }
 
 // promSnapshot is the fixed snapshot behind the golden exposition test.
@@ -72,11 +75,7 @@ func promSnapshot() core.TelemetrySnapshot {
 // against testdata/metrics_golden.txt: Prometheus scrapers are
 // whitespace- and structure-sensitive, so the output must not drift.
 func TestWriteMetricsTextGolden(t *testing.T) {
-	var b strings.Builder
-	if err := WriteMetricsText(&b, promSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
+	got := metricsText(t, promSnapshot())
 	want, err := os.ReadFile(filepath.Join("testdata", "metrics_golden.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +102,7 @@ func TestWriteMetricsTextGolden(t *testing.T) {
 // TestWriteMetricsTextEmpty: a zero snapshot (campaign not started) must
 // still render core families without worker or histogram sections.
 func TestWriteMetricsTextEmpty(t *testing.T) {
-	var b strings.Builder
-	if err := WriteMetricsText(&b, core.TelemetrySnapshot{}); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
+	got := metricsText(t, core.TelemetrySnapshot{})
 	if !strings.Contains(got, "llmfi_trials_total 0\n") {
 		t.Fatal("zero snapshot missing trials gauge")
 	}
@@ -117,7 +112,7 @@ func TestWriteMetricsTextEmpty(t *testing.T) {
 }
 
 // TestTraceFileRoundTrip writes records through the full OpenTrace /
-// TraceWriter path and reads them back, covering truncate-on-fresh and
+// JSONLWriter path and reads them back, covering truncate-on-fresh and
 // append-on-resume semantics.
 func TestTraceFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -135,7 +130,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tw := NewTraceWriter(f)
+		tw := obs.NewJSONLWriter[trace.Record](f)
 		for _, tr := range trials {
 			if err := tw.Write(mk(tr)); err != nil {
 				t.Fatal(err)
@@ -155,7 +150,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		recs, err := ReadTraces(f)
+		recs, err := readTraces(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +190,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := ReadTraces(f); err == nil {
+	if _, err := readTraces(f); err == nil {
 		t.Fatal("unknown schema version accepted")
 	}
 }

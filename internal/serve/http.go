@@ -161,9 +161,18 @@ func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(report.APIVersion+"/generate", e.handleGenerate)
 	mux.HandleFunc("/healthz", e.handleHealthz)
-	mux.HandleFunc("/metrics", e.handleMetrics)
+	mux.HandleFunc("/metrics", obs.MetricsHandler(e.writeMetrics))
 	mux.HandleFunc("/debug/fleet", obs.DashboardHandler(e.dashboardData))
 	return mux
+}
+
+// writeMetrics renders the /metrics body: build identity (labelled with
+// the span schema), then the serving metrics.
+func (e *Engine) writeMetrics(w io.Writer) error {
+	p := obs.NewMetricsWriter(w)
+	p.BuildInfo(version.Version, obs.SchemaVersion)
+	WriteMetricsText(p, e.met.Snapshot())
+	return p.Flush()
 }
 
 // dashboardData gathers the live serving view for /debug/fleet.
@@ -198,8 +207,7 @@ func (e *Engine) dashboardData() obs.DashboardData {
 		})
 	}
 	var metrics strings.Builder
-	_ = report.WriteBuildInfoText(&metrics, obs.SchemaVersion)
-	_ = WriteMetricsText(&metrics, s)
+	_ = e.writeMetrics(&metrics)
 	return obs.DashboardData{
 		Title:    "llmfi serve",
 		Version:  version.Version,
@@ -286,11 +294,4 @@ func (e *Engine) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":    "ok",
 		"in_flight": e.met.Snapshot().InFlight,
 	})
-}
-
-// handleMetrics exposes the serving metrics in Prometheus text format.
-func (e *Engine) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", report.ContentTypeMetrics)
-	_ = report.WriteBuildInfoText(w, obs.SchemaVersion)
-	_ = WriteMetricsText(w, e.met.Snapshot())
 }

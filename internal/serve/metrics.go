@@ -2,11 +2,10 @@ package serve
 
 import (
 	"fmt"
-	"io"
-	"strconv"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/outcome"
 )
 
@@ -41,23 +40,11 @@ func (s reqStatus) String() string {
 	}
 }
 
-// nLatencyBuckets and latencyBucketBounds mirror the campaign
-// telemetry's phase-latency histogram shape (internal/core): exponential
-// bounds starting at 1µs and doubling per bucket. Requests live longer
-// than kernel phases, so the request histogram carries 26 finite buckets
-// (~33.6s) before +Inf.
+// nLatencyBuckets is the finite bucket count of the serving latency
+// histograms: the campaign phase histograms' 1µs-doubling shape
+// (internal/core), extended to 26 buckets (~33.6s) because requests
+// outlive kernel phases.
 const nLatencyBuckets = 26
-
-// latencyBucketBounds returns the finite bucket upper bounds in seconds.
-func latencyBucketBounds() [nLatencyBuckets]float64 {
-	var b [nLatencyBuckets]float64
-	v := 1e-6
-	for i := range b {
-		b[i] = v
-		v *= 2
-	}
-	return b
-}
 
 // Metrics is the per-request serving instrumentation: request counters
 // by status, an exponential latency histogram, SLO violations, the
@@ -70,17 +57,9 @@ type Metrics struct {
 	tokens        atomic.Int64
 	sloViolations atomic.Int64
 
-	latBuckets [nLatencyBuckets + 1]atomic.Int64
-	latCount   atomic.Int64
-	latSumNS   atomic.Int64
-
-	ttftBuckets [nLatencyBuckets + 1]atomic.Int64
-	ttftCount   atomic.Int64
-	ttftSumNS   atomic.Int64
-
-	itBuckets [nLatencyBuckets + 1]atomic.Int64
-	itCount   atomic.Int64
-	itSumNS   atomic.Int64
+	latency    *obs.Histogram
+	ttft       *obs.Histogram
+	interToken *obs.Histogram
 
 	injected atomic.Int64
 	detected atomic.Int64
@@ -88,46 +67,30 @@ type Metrics struct {
 }
 
 // NewMetrics returns zeroed serving metrics.
-func NewMetrics() *Metrics { return &Metrics{} }
+func NewMetrics() *Metrics {
+	return &Metrics{
+		latency:    obs.NewHistogram(nLatencyBuckets),
+		ttft:       obs.NewHistogram(nLatencyBuckets),
+		interToken: obs.NewHistogram(nLatencyBuckets),
+	}
+}
 
 func (m *Metrics) requestStarted() { m.inFlight.Add(1) }
 func (m *Metrics) requestDone()    { m.inFlight.Add(-1) }
-
-// bucketIndex places a latency into the shared exponential bucket shape.
-func bucketIndex(latency time.Duration) int {
-	sec := latency.Seconds()
-	bounds := latencyBucketBounds()
-	for i, b := range bounds {
-		if sec <= b {
-			return i
-		}
-	}
-	return nLatencyBuckets // +Inf
-}
 
 // observeRequest records one finished request.
 func (m *Metrics) observeRequest(st reqStatus, latency time.Duration, tokens int) {
 	m.requests[st].Add(1)
 	m.tokens.Add(int64(tokens))
-	m.latBuckets[bucketIndex(latency)].Add(1)
-	m.latCount.Add(1)
-	m.latSumNS.Add(int64(latency))
+	m.latency.Observe(latency)
 }
 
 // observeTTFT records one request's time to first token.
-func (m *Metrics) observeTTFT(d time.Duration) {
-	m.ttftBuckets[bucketIndex(d)].Add(1)
-	m.ttftCount.Add(1)
-	m.ttftSumNS.Add(int64(d))
-}
+func (m *Metrics) observeTTFT(d time.Duration) { m.ttft.Observe(d) }
 
 // observeInterToken records one gap between consecutive decode tokens
 // of a request.
-func (m *Metrics) observeInterToken(d time.Duration) {
-	m.itBuckets[bucketIndex(d)].Add(1)
-	m.itCount.Add(1)
-	m.itSumNS.Add(int64(d))
-}
+func (m *Metrics) observeInterToken(d time.Duration) { m.interToken.Observe(d) }
 
 // observeRejected records a request refused before it ran.
 func (m *Metrics) observeRejected(st reqStatus) { m.requests[st].Add(1) }
@@ -146,20 +109,23 @@ func (m *Metrics) observeOutcome(c outcome.Class) {
 
 // MetricsSnapshot is a consistent-enough copy of the counters for
 // rendering (individual counters are atomic; the set is sampled live).
+// Each latency histogram is flattened into Buckets (per bucket, aligned
+// with Bounds, +Inf last), Count and Sum (seconds) fields.
 type MetricsSnapshot struct {
 	InFlight      int64
 	Requests      [nStatus]int64
 	Tokens        int64
 	SLOViolations int64
-	LatBuckets    [nLatencyBuckets + 1]int64
+	Bounds        []float64
+	LatBuckets    []int64
 	LatCount      int64
-	LatSum        float64 // seconds
-	TTFTBuckets   [nLatencyBuckets + 1]int64
+	LatSum        float64
+	TTFTBuckets   []int64
 	TTFTCount     int64
-	TTFTSum       float64 // seconds
-	ITBuckets     [nLatencyBuckets + 1]int64
+	TTFTSum       float64
+	ITBuckets     []int64
 	ITCount       int64
-	ITSum         float64 // seconds
+	ITSum         float64
 	Injected      int64
 	Detected      int64
 	Outcomes      [3]int64
@@ -174,21 +140,11 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	s.Tokens = m.tokens.Load()
 	s.SLOViolations = m.sloViolations.Load()
-	for i := range s.LatBuckets {
-		s.LatBuckets[i] = m.latBuckets[i].Load()
-	}
-	s.LatCount = m.latCount.Load()
-	s.LatSum = time.Duration(m.latSumNS.Load()).Seconds()
-	for i := range s.TTFTBuckets {
-		s.TTFTBuckets[i] = m.ttftBuckets[i].Load()
-	}
-	s.TTFTCount = m.ttftCount.Load()
-	s.TTFTSum = time.Duration(m.ttftSumNS.Load()).Seconds()
-	for i := range s.ITBuckets {
-		s.ITBuckets[i] = m.itBuckets[i].Load()
-	}
-	s.ITCount = m.itCount.Load()
-	s.ITSum = time.Duration(m.itSumNS.Load()).Seconds()
+	s.Bounds = m.latency.Bounds()
+	lat, ttft, it := m.latency.Snapshot(), m.ttft.Snapshot(), m.interToken.Snapshot()
+	s.LatBuckets, s.LatCount, s.LatSum = lat.Buckets, lat.Count, lat.Sum
+	s.TTFTBuckets, s.TTFTCount, s.TTFTSum = ttft.Buckets, ttft.Count, ttft.Sum
+	s.ITBuckets, s.ITCount, s.ITSum = it.Buckets, it.Count, it.Sum
 	s.Injected = m.injected.Load()
 	s.Detected = m.detected.Load()
 	for i := range s.Outcomes {
@@ -197,49 +153,27 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	return s
 }
 
-// WriteMetricsText renders the snapshot in Prometheus text exposition
-// format 0.0.4, deterministically (fixed family and label order), in
-// the same style as the campaign metrics renderer (internal/report).
-func WriteMetricsText(w io.Writer, s MetricsSnapshot) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	fv := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// WriteMetricsText renders the snapshot onto p deterministically (fixed
+// family and label order), in the same style as the campaign metrics
+// renderer (internal/report).
+func WriteMetricsText(p *obs.MetricsWriter, s MetricsSnapshot) {
+	p.Family("llmfi_serve_in_flight", "gauge", "Requests currently being served.")
+	p.Int("llmfi_serve_in_flight", s.InFlight)
 
-	p("# HELP llmfi_serve_in_flight Requests currently being served.\n")
-	p("# TYPE llmfi_serve_in_flight gauge\n")
-	p("llmfi_serve_in_flight %d\n", s.InFlight)
-
-	p("# HELP llmfi_serve_requests_total Finished requests by terminal status.\n")
-	p("# TYPE llmfi_serve_requests_total counter\n")
+	p.Family("llmfi_serve_requests_total", "counter", "Finished requests by terminal status.")
 	for st := reqStatus(0); st < nStatus; st++ {
-		p("llmfi_serve_requests_total{status=%q} %d\n", st.String(), s.Requests[st])
+		p.Int("llmfi_serve_requests_total", s.Requests[st], "status", st.String())
 	}
 
-	p("# HELP llmfi_serve_tokens_total Generated tokens returned to clients.\n")
-	p("# TYPE llmfi_serve_tokens_total counter\n")
-	p("llmfi_serve_tokens_total %d\n", s.Tokens)
+	p.Family("llmfi_serve_tokens_total", "counter", "Generated tokens returned to clients.")
+	p.Int("llmfi_serve_tokens_total", s.Tokens)
 
-	p("# HELP llmfi_serve_slo_violations_total Finished requests slower than the configured SLO.\n")
-	p("# TYPE llmfi_serve_slo_violations_total counter\n")
-	p("llmfi_serve_slo_violations_total %d\n", s.SLOViolations)
+	p.Family("llmfi_serve_slo_violations_total", "counter", "Finished requests slower than the configured SLO.")
+	p.Int("llmfi_serve_slo_violations_total", s.SLOViolations)
 
-	hist := func(name, help string, buckets [nLatencyBuckets + 1]int64, count int64, sum float64) {
-		p("# HELP %s %s\n", name, help)
-		p("# TYPE %s histogram\n", name)
-		bounds := latencyBucketBounds()
-		var cum int64
-		for i, b := range bounds {
-			cum += buckets[i]
-			p("%s_bucket{le=%q} %d\n", name, fv(b), cum)
-		}
-		cum += buckets[nLatencyBuckets]
-		p("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-		p("%s_sum %s\n", name, fv(sum))
-		p("%s_count %d\n", name, count)
+	hist := func(name, help string, buckets []int64, count int64, sum float64) {
+		p.Family(name, "histogram", help)
+		p.Histogram(name, s.Bounds, buckets, count, sum)
 	}
 	hist("llmfi_serve_request_latency_seconds", "End-to-end request latency.",
 		s.LatBuckets, s.LatCount, s.LatSum)
@@ -248,18 +182,14 @@ func WriteMetricsText(w io.Writer, s MetricsSnapshot) error {
 	hist("llmfi_serve_inter_token_seconds", "Gap between consecutive decode tokens of a request.",
 		s.ITBuckets, s.ITCount, s.ITSum)
 
-	p("# HELP llmfi_serve_injected_total Requests served with an armed fault.\n")
-	p("# TYPE llmfi_serve_injected_total counter\n")
-	p("llmfi_serve_injected_total %d\n", s.Injected)
+	p.Family("llmfi_serve_injected_total", "counter", "Requests served with an armed fault.")
+	p.Int("llmfi_serve_injected_total", s.Injected)
 
-	p("# HELP llmfi_serve_detected_total ABFT checks flagged across served requests.\n")
-	p("# TYPE llmfi_serve_detected_total counter\n")
-	p("llmfi_serve_detected_total %d\n", s.Detected)
+	p.Family("llmfi_serve_detected_total", "counter", "ABFT checks flagged across served requests.")
+	p.Int("llmfi_serve_detected_total", s.Detected)
 
-	p("# HELP llmfi_serve_outcome_total Classified request outcomes under injection.\n")
-	p("# TYPE llmfi_serve_outcome_total counter\n")
+	p.Family("llmfi_serve_outcome_total", "counter", "Classified request outcomes under injection.")
 	for c := outcome.Masked; c <= outcome.SDCDistorted; c++ {
-		p("llmfi_serve_outcome_total{class=%q} %d\n", c.String(), s.Outcomes[c])
+		p.Int("llmfi_serve_outcome_total", s.Outcomes[c], "class", c.String())
 	}
-	return err
 }

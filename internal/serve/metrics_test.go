@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/outcome"
 )
 
@@ -37,7 +38,9 @@ func TestMetricsGoldenExposition(t *testing.T) {
 	m.observeInterToken(700 * time.Microsecond)
 
 	var b strings.Builder
-	if err := WriteMetricsText(&b, m.Snapshot()); err != nil {
+	p := obs.NewMetricsWriter(&b)
+	WriteMetricsText(p, m.Snapshot())
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "metrics_golden.txt"))
