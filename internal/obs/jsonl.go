@@ -74,7 +74,7 @@ func (w *JSONLWriter[T]) Close() error {
 // with the error, so a file cut short by a crash still yields its
 // complete prefix.
 func ReadJSONL[T any](r io.Reader, schema int, schemaOf func(T) int) ([]T, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var out []T
 	for {

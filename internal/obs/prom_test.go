@@ -51,31 +51,6 @@ func TestMetricsWriterLabelRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetricsWriterHistogram pins a histogram series: cumulative
-// buckets with le as the last label, then sum and count.
-func TestMetricsWriterHistogram(t *testing.T) {
-	var b strings.Builder
-	p := NewMetricsWriter(&b)
-	p.Histogram("llmfi_h", []float64{1e-06, 0.5}, []int64{0, 1, 2}, 3, 1.25, "phase", `a"b`)
-	p.Histogram("llmfi_g", []float64{2}, []int64{4, 0}, 4, 0.5)
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := `llmfi_h_bucket{phase="a\"b",le="1e-06"} 0
-llmfi_h_bucket{phase="a\"b",le="0.5"} 1
-llmfi_h_bucket{phase="a\"b",le="+Inf"} 3
-llmfi_h_sum{phase="a\"b"} 1.25
-llmfi_h_count{phase="a\"b"} 3
-llmfi_g_bucket{le="2"} 4
-llmfi_g_bucket{le="+Inf"} 4
-llmfi_g_sum 0.5
-llmfi_g_count 4
-`
-	if b.String() != want {
-		t.Fatalf("histogram:\n got %q\nwant %q", b.String(), want)
-	}
-}
-
 type failWriter struct{ n int }
 
 func (w *failWriter) Write(p []byte) (int, error) {
